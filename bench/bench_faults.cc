@@ -13,8 +13,8 @@
 //     clean twin, with the fault counters that window recorded:
 //       mac_retry           decrypt_mac:0.01 over a full encrypted read
 //                           pass (bounded in-place retries),
-//       pool_spawn_degrade  pool_spawn:1 forcing every kParallelTag sort
-//                           down to its sequential kTagSort twin,
+//       pool_spawn_degrade  pool_spawn:1 forcing every fanned-out kTagSort
+//                           sort and route onto its sequential kernel,
 //       epc_degrade         epc_evict:once halving a forced 4-shard join
 //                           to 2 shards;
 //   * cancellation (smoke) — a pre-cancelled token must surface
@@ -117,12 +117,15 @@ RecoveryRow BenchMacRetry(size_t cells, int reps) {
           clean_vals == faulty_vals};
 }
 
-// pool_spawn_degrade: every parallel-sort spawn probe refused, so each
-// kParallelTag sort runs its sequential kTagSort twin in place.
+// pool_spawn_degrade: every spawn probe refused, so each kTagSort sort and
+// each route that would fan out over a 4-worker pool runs its sequential
+// kernel in place.  n must put the sorts above the 2^12 task cutoff.
 RecoveryRow BenchPoolSpawnDegrade(size_t n, int reps) {
   const workload::TestCase tc = workload::PowerLaw(n, 2.0, 7);
+  ThreadPool pool(4);
   core::ExecContext ctx;
-  ctx.sort_policy = obliv::SortPolicy::kParallelTag;
+  ctx.sort_policy = obliv::SortPolicy::kTagSort;
+  ctx.pool = &pool;
 
   std::vector<JoinedRecord> clean_rows, faulty_rows;
   const double clean =
@@ -228,7 +231,7 @@ int main(int argc, char** argv) {
   // --- recovery paths. ---
   const RecoveryRow rows[] = {
       BenchMacRetry(smoke ? 256 : (size_t{1} << 15), reps),
-      BenchPoolSpawnDegrade(smoke ? 64 : (size_t{1} << 13), reps),
+      BenchPoolSpawnDegrade(smoke ? 4096 : (size_t{1} << 13), reps),
       BenchEpcDegrade(smoke ? 256 : (size_t{1} << 13), reps),
   };
   for (const RecoveryRow& row : rows) {

@@ -1,6 +1,6 @@
 // Sort-kernel perf trajectory: ns/element for every SortPolicy — reference
-// network, cache-blocked kernel, pool-parallel kernel, the key/payload-
-// separated tag sort, and the pool-parallel tag sort — at the element
+// network, the blocked tier on one worker and fanned out, and the key/
+// payload-separated tag tier on one worker and fanned out — at the element
 // widths that matter: the 16-byte (key, tag) microbenchmark shape AND the
 // pipeline's 72-byte Entry, where tag sort earns its keep (the 9-word
 // CondSwap is bandwidth-bound, so narrowing the network to 24-byte tags
@@ -110,13 +110,15 @@ void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
   {
     auto arr = make(n);
     timer.Start();
-    obliv::BitonicSortTagged(arr, less);
+    obliv::BitonicSortRangeTagged(arr, 0, n, less);
     Emit("tag", 1, sizeof(T), n, timer.ElapsedSeconds());
   }
   {
     auto arr = make(n);
     timer.Start();
-    obliv::BitonicSortRangeTaggedParallel(arr, 0, n, less);
+    obliv::BitonicSortRangeTagged(arr, 0, n, less, /*comparisons=*/nullptr,
+                                  obliv::kSortBlockBytes, /*pool=*/nullptr,
+                                  /*parallel=*/true);
     Emit("tag_parallel", pool_threads, sizeof(T), n, timer.ElapsedSeconds());
   }
   {

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # CI smoke pass: configure a warning-strict build, compile everything
 # (-Wall -Wextra -Werror — any new warning fails the build), run the unit
-# tests four times — under the stock kBlocked default, with
+# tests six times — under the stock defaults (kBlocked on the nproc-worker
+# global pool, so the sort tiers and routes fan out), with the global pool
+# pinned to one worker (OBLIVDB_THREADS=1) so the sequential kernels the
+# tiers and routes fall back to stay covered, with
 # SortPolicy::kAuto as the ExecContext default (OBLIVDB_SORT_POLICY=auto)
 # so a cost-model dispatch regression cannot hide, with order-aware sort
 # elision pinned off (OBLIVDB_SORT_ELISION=off) so both sides of the
@@ -11,15 +14,15 @@
 # (OBLIVDB_OPTIMIZE=off) so the unrewritten plans stay byte-for-byte
 # healthy on their own — then run the small-n sort / distribute /
 # join-pipeline / shard / faults / optimizer / service benches and the
-# query-plan demo (plan-vs-direct cross-check).  A sixth pass rebuilds
+# query-plan demo (plan-vs-direct cross-check).  A seventh pass rebuilds
 # under ASan+UBSan (-DOBLIVDB_SANITIZE=address,undefined) and runs the
 # whole suite with fault injection live (OBLIVDB_FAULT_SPEC), so the
-# recovery unwind paths are exercised leak- and UB-checked.  A seventh
+# recovery unwind paths are exercised leak- and UB-checked.  An eighth
 # pass rebuilds under TSan (-DOBLIVDB_SANITIZE=thread) and runs the
 # suite with the query service at 4 concurrent sessions
 # (OBLIVDB_SERVICE_SESSIONS=4), so the service's shared state — the
 # admission queue, both cache layers, the exclusive-trace lock — is
-# exercised race-checked.  An eighth pass runs the whole suite plus the
+# exercised race-checked.  A ninth pass runs the whole suite plus the
 # chaos harness with the resilience fault set live (worker crashes + the
 # transient environmental faults) at 4 sessions, so crash containment,
 # transparent retry and the circuit breaker absorb a real fault stream
@@ -35,17 +38,22 @@ build_dir="${1:-$repo_root/build-smoke}"
 cmake -B "$build_dir" -S "$repo_root" -DOBLIVDB_WERROR=ON >/dev/null
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Second pass with the cost-model default: every operator sort now goes
-# through the kAuto resolution (pool pinned to 4 workers so the parallel
-# tiers are eligible even on a 1-core CI box).
+# Second pass: the global pool pinned to a single worker, so every
+# sort runs the sequential blocked / tag kernels and every route the
+# sequential hop loops (the multi-worker stock pass covers the fan-out).
+OBLIVDB_THREADS=1 \
+  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+# Third pass with the cost-model default: every operator sort now goes
+# through the kAuto resolution (pool pinned to 4 workers so the tiers fan
+# out even on a 1-core CI box).
 OBLIVDB_SORT_POLICY=auto OBLIVDB_THREADS=4 \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Third pass with order-aware sort elision pinned off: the no-hint /
+# Fourth pass with order-aware sort elision pinned off: the no-hint /
 # no-elision paths must stay byte-for-byte healthy on their own (the
 # default-on runs above already cover elision engaged).
 OBLIVDB_SORT_ELISION=off \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Fourth pass with sharded execution forced on every plan join/aggregate
+# Fifth pass with sharded execution forced on every plan join/aggregate
 # (core/shard.h): every suite must stay byte-for-byte green when the
 # operators run as k concurrent per-shard pipelines.
 OBLIVDB_SHARDS=4 OBLIVDB_THREADS=4 \
@@ -81,7 +89,7 @@ cmake --build "$build_dir" --target bench_smoke
 # cache/batching/session-count variant, and the cache-on rows must hit.
 "$build_dir/bench_service" --smoke >/dev/null
 cmake --build "$build_dir" --target plan_smoke
-# Final pass: rebuild under ASan+UBSan and run the whole suite with a
+# Seventh pass: rebuild under ASan+UBSan and run the whole suite with a
 # low-rate transient-MAC fault stream live, so the retry and unwind
 # machinery runs sanitized.  robustness_test then re-runs alone under a
 # hotter multi-site spec (every-3rd EPC refusal, every-2nd spawn refusal).
@@ -98,7 +106,7 @@ if [ -x "$san_dir/robustness_test" ]; then
     "$san_dir/robustness_test" --gtest_brief=1
 fi
 OBLIVDB_FAULT_SPEC="decrypt_mac:0.01" "$san_dir/bench_faults" --smoke >/dev/null
-# Seventh pass: rebuild under TSan and run the suite with the query
+# Eighth pass: rebuild under TSan and run the suite with the query
 # service at 4 concurrent sessions, so session workers, the admission
 # queue, the plan/artifact caches and the shared-exclusive trace lock all
 # run race-checked.  sort_kernel_test is excluded: its perf-bar assertion
@@ -113,7 +121,7 @@ OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   -E '^sort_kernel_test$'
 OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   "$tsan_dir/bench_service" --smoke >/dev/null
-# Eighth pass: chaos.  The whole suite runs with worker crashes and the
+# Ninth pass: chaos.  The whole suite runs with worker crashes and the
 # transient environmental faults live at 4 concurrent sessions — crash
 # containment requeues/respawns, transparent retry rescues transients, and
 # every byte-identity assertion must still hold.  (`alloc` stays out of

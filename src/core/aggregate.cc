@@ -121,7 +121,8 @@ std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
   // length, the aggregate analogue of m.
   obliv::PrimitiveStats compact_stats;
   const uint64_t groups =
-      obliv::ObliviousCompact(tc, KeepMarkedBoundary{}, &compact_stats);
+      obliv::ObliviousCompact(tc, KeepMarkedBoundary{}, &compact_stats,
+                              ctx.pool);
   stats.op_route_ops += compact_stats.route_ops;
 
   std::vector<JoinGroupAggregate> result;

@@ -12,6 +12,10 @@ namespace oblivdb::core {
 uint64_t FillDimensions(memtrace::OArray<Entry>& tc) {
   const size_t n = tc.size();
   if (n == 0) return 0;
+  // Both passes run on raw storage, with the <R,i> <W,i> of Read/Write
+  // loops reported through a cached emitter (one sink test per pass).
+  const memtrace::OArray<Entry>::EventEmitter emitter(tc);
+  Entry* d = tc.UntracedData();
 
   // Forward pass: running per-group counters.  While scanning a group, each
   // entry stores the incremental counts seen so far; the group's last entry
@@ -20,7 +24,8 @@ uint64_t FillDimensions(memtrace::OArray<Entry>& tc) {
   uint64_t count2 = 0;
   uint64_t prev_key = 0;
   for (size_t i = 0; i < n; ++i) {
-    Entry e = tc.Read(i);
+    emitter.EmitRead(i);
+    Entry e = d[i];
     // i == 0 is a public condition, but the mask form costs nothing.
     const uint64_t same_group =
         ct::EqMask(e.join_key, prev_key) & ct::ToMask(i != 0);
@@ -32,7 +37,8 @@ uint64_t FillDimensions(memtrace::OArray<Entry>& tc) {
     e.alpha1 = count1;
     e.alpha2 = count2;
     prev_key = e.join_key;
-    tc.Write(i, e);
+    emitter.EmitWrite(i);
+    d[i] = e;
   }
 
   // Backward pass: propagate each boundary's totals to the whole group and
@@ -42,7 +48,8 @@ uint64_t FillDimensions(memtrace::OArray<Entry>& tc) {
   uint64_t next_key = 0;
   uint64_t output_size = 0;
   for (size_t i = n; i-- > 0;) {
-    Entry e = tc.Read(i);
+    emitter.EmitRead(i);
+    Entry e = d[i];
     const uint64_t boundary =
         ct::ToMask(i == n - 1) | ct::NeqMask(e.join_key, next_key);
     const uint64_t alpha1 = ct::Select(boundary, e.alpha1, carry1);
@@ -53,7 +60,8 @@ uint64_t FillDimensions(memtrace::OArray<Entry>& tc) {
     carry1 = alpha1;
     carry2 = alpha2;
     next_key = e.join_key;
-    tc.Write(i, e);
+    emitter.EmitWrite(i);
+    d[i] = e;
   }
   return output_size;
 }

@@ -7,10 +7,10 @@
 //
 //   * sort_policy  — which implementation runs every bitonic sort in every
 //                    operator (obliv/sort_kernel.h; a pure speed knob);
-//   * pool         — the worker pool the operators' parallel phases use
-//                    (kParallel sort fan-out, kTagSort's Beneš switch
-//                    planning; routed down through obliv::SortRange);
-//                    nullptr = the process-wide ThreadPool::Global();
+//   * pool         — the worker pool the operators' sorts and routes fan
+//                    out on (obliv::SortRange, the distribution and
+//                    compaction routes); nullptr = the process-wide
+//                    ThreadPool::Global();
 //   * stats        — per-call out-parameter: the most recent operator run
 //                    under this context writes its JoinStats here;
 //   * stats_sink   — streaming telemetry: *every* operator (join, distinct,
@@ -84,20 +84,21 @@ class CollectingStatsSink : public StatsSink {
 };
 
 struct ExecContext {
-  // The single source of truth for the library-wide default sort tier
-  // (previously copied into every operator signature).  This is the
-  // compile-time fallback; a freshly constructed context actually starts
-  // from DefaultSortPolicy(), which honours the OBLIVDB_SORT_POLICY
-  // environment override.
+  // The library-wide default sort tier, obliv::kDefaultSortPolicy
+  // (kBlocked, fanned out over every worker of `pool`; obliv/sort_policy.h
+  // says why not kAuto).  This is the compile-time fallback; a freshly
+  // constructed context actually starts from DefaultSortPolicy(), which
+  // honours the OBLIVDB_SORT_POLICY environment override.
   static constexpr obliv::SortPolicy kDefaultSortPolicy =
-      obliv::SortPolicy::kBlocked;
+      obliv::kDefaultSortPolicy;
 
   // The process-wide default sort tier: OBLIVDB_SORT_POLICY (one of
-  // "reference", "blocked", "parallel", "tag", "parallel_tag", "auto" —
-  // obliv::SortPolicyName's vocabulary) when set to a recognized name,
-  // kDefaultSortPolicy otherwise.  Read once and cached; CI uses it to run
-  // the whole test suite under SortPolicy::kAuto without code changes
-  // (bench/smoke.sh).  Public configuration, like everything in here.
+  // "reference", "blocked", "tag", "auto" — obliv::SortPolicyName's
+  // vocabulary) when set to a recognized name, kDefaultSortPolicy
+  // otherwise (so the retired "parallel" and "parallel_tag" fall back to
+  // it).  Read once and cached; CI uses it to run the whole test suite
+  // under SortPolicy::kAuto without code changes (bench/smoke.sh).  Public
+  // configuration, like everything in here.
   static obliv::SortPolicy DefaultSortPolicy();
 
   // The process-wide default for `sort_elision`: OBLIVDB_SORT_ELISION set
@@ -155,12 +156,12 @@ struct ExecContext {
   // settings).
   bool optimize = DefaultOptimize();
 
-  // Worker pool for the operators' parallel phases (kParallel /
-  // kParallelTag sorts, Beneš switch planning and column fan-out);
-  // forwarded to obliv::SortRange by every operator.  nullptr means
-  // ThreadPool::Global(), whose size honours the OBLIVDB_THREADS
-  // environment override — the worker count also feeds the kAuto cost
-  // model, so pinning it pins the policy resolution.
+  // Worker pool every sort and route fans out on; forwarded to
+  // obliv::SortRange and the routes by every operator.  A one-worker pool
+  // runs them sequentially.  nullptr means ThreadPool::Global(), whose size
+  // honours the OBLIVDB_THREADS environment override — the worker count
+  // also feeds the kAuto cost model, so pinning it pins the policy
+  // resolution.
   ThreadPool* pool = nullptr;
 
   // Out-parameter: filled by the most recent operator executed under this

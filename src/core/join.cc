@@ -78,6 +78,7 @@ std::vector<JoinedRecord> ObliviousJoin(const Table& table1,
       &stats->op_sort_policy_chosen);
   stats->expand_sort_comparisons = expand_stats.sort_comparisons;
   stats->expand_route_ops = expand_stats.route_ops;
+  stats->expand_route_seconds = expand_stats.route_seconds;
   stats->expand_seconds = phase_timer.ElapsedSeconds();
 
   // (4) Align S2 with S1 (Algorithm 5).  The align sort covers the full

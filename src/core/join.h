@@ -32,12 +32,12 @@ struct JoinOptions {
   // Sort implementation for every bitonic sort in the pipeline
   // (Augment-Tables, both expansions, Align-Table).  All policies produce
   // the same element order and comparison counts, and every policy's trace
-  // is input-independent, so this is purely a speed knob.  kReference,
-  // kBlocked and kParallel emit the bit-identical network log; kTagSort
-  // (key/payload separation, obliv/tag_sort.h) emits a *different* — still
+  // is input-independent, so this is purely a speed knob.  kReference and
+  // kBlocked emit the bit-identical network log; kTagSort (key/payload
+  // separation, obliv/tag_sort.h) emits a *different* — still
   // length-determined — sequence, so compare its traces only against
-  // kTagSort runs.  kBlocked is the cache-resident kernel of
-  // obliv/sort_block.h.
+  // kTagSort runs.  kBlocked is the raw-memory network of
+  // obliv/sort_block.h, fanned out on multi-worker pools.
   obliv::SortPolicy sort_policy = ExecContext::kDefaultSortPolicy;
 };
 

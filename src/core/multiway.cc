@@ -20,6 +20,7 @@ void AccumulateJoinStats(JoinStats& total, const JoinStats& step) {
   total.op_sorts_elided += previous.op_sorts_elided;
   total.augment_seconds += previous.augment_seconds;
   total.expand_seconds += previous.expand_seconds;
+  total.expand_route_seconds += previous.expand_route_seconds;
   total.align_seconds += previous.align_seconds;
   total.zip_seconds += previous.zip_seconds;
   total.total_seconds += previous.total_seconds;

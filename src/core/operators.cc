@@ -32,10 +32,10 @@ struct KeepUnflagged {
 // back into a Table (revealing their count, the operator's output size).
 // The compaction's routing steps land in stats->op_route_ops.
 Table ExtractKept(memtrace::OArray<Entry>& arr, const std::string& name,
-                  JoinStats* stats) {
+                  const ExecContext& ctx, JoinStats* stats) {
   obliv::PrimitiveStats compact_stats;
-  const uint64_t kept =
-      obliv::ObliviousCompact(arr, KeepUnflagged{}, &compact_stats);
+  const uint64_t kept = obliv::ObliviousCompact(arr, KeepUnflagged{},
+                                                &compact_stats, ctx.pool);
   stats->op_route_ops += compact_stats.route_ops;
   stats->m = kept;
   Table out(name);
@@ -61,7 +61,7 @@ Table ObliviousSelect(const Table& input, const CtRowPredicate& keep,
                          e.flags | kEntryFlagDummy);
     arr.Write(i, e);
   }
-  Table out = ExtractKept(arr, input.name() + "_selected", &stats);
+  Table out = ExtractKept(arr, input.name() + "_selected", ctx, &stats);
   stats.total_seconds = timer.ElapsedSeconds();
   ctx.ReportStats("select", stats);
   return out;
@@ -99,7 +99,7 @@ Table ObliviousDistinct(const Table& input, const ExecContext& ctx,
     prev_d1 = e.payload1;
     arr.Write(i, e);
   }
-  Table out = ExtractKept(arr, input.name() + "_distinct", &stats);
+  Table out = ExtractKept(arr, input.name() + "_distinct", ctx, &stats);
   stats.total_seconds = timer.ElapsedSeconds();
   ctx.ReportStats("distinct", stats);
   return out;
@@ -186,7 +186,8 @@ Table SemiOrAntiJoin(const Table& t1, const Table& t2, bool want_match,
     next_key = e.join_key;
     arr.Write(i, e);
   }
-  Table out = ExtractKept(arr, std::string(t1.name()) + "_" + label, &stats);
+  Table out = ExtractKept(arr, std::string(t1.name()) + "_" + label, ctx,
+                          &stats);
   stats.total_seconds = timer.ElapsedSeconds();
   ctx.ReportStats(label, stats);
   return out;

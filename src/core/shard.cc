@@ -202,6 +202,7 @@ void FoldShardStats(const JoinStats& shard, JoinStats& agg) {
   agg.op_sorts_elided += shard.op_sorts_elided;
   agg.augment_seconds += shard.augment_seconds;
   agg.expand_seconds += shard.expand_seconds;
+  agg.expand_route_seconds += shard.expand_route_seconds;
   agg.align_seconds += shard.align_seconds;
   agg.zip_seconds += shard.zip_seconds;
   if (shard.op_sort_policy_chosen != obliv::SortPolicy::kAuto) {

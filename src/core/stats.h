@@ -97,7 +97,8 @@ struct JoinStats {
   uint64_t op_cache_misses = 0;
 
   double augment_seconds = 0;
-  double expand_seconds = 0;
+  double expand_seconds = 0;        // both expansions, sort + route
+  double expand_route_seconds = 0;  // their RouteForward passes alone
   double align_seconds = 0;
   double zip_seconds = 0;
   double total_seconds = 0;

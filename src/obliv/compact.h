@@ -35,24 +35,32 @@ concept CtPredicate = requires(const F& f, const T& t) {
 template <Routable T, typename Keep>
   requires CtPredicate<Keep, T>
 uint64_t AssignCompactionRanks(memtrace::OArray<T>& a, const Keep& keep) {
+  // Raw storage, with the <R,i> <W,i> of a Read/Write loop reported
+  // through a cached emitter (one sink test per pass).
+  const typename memtrace::OArray<T>::EventEmitter emitter(a);
+  T* d = a.UntracedData();
   uint64_t rank = 0;
   for (size_t i = 0; i < a.size(); ++i) {
-    T x = a.Read(i);
+    emitter.EmitRead(i);
+    T x = d[i];
     const uint64_t keep_mask = keep(x);
     rank += ct::MaskToBit(keep_mask);
     SetRouteDest(x, ct::Select(keep_mask, rank, 0));
-    a.Write(i, x);
+    emitter.EmitWrite(i);
+    d[i] = x;
   }
   return rank;
 }
 
-// Goodrich-style order-preserving tight compaction.
+// Goodrich-style order-preserving tight compaction.  `pool` (nullptr =
+// global pool) is where the route fans out (obliv/routing.h).
 template <Routable T, typename Keep>
   requires CtPredicate<Keep, T>
 uint64_t ObliviousCompact(memtrace::OArray<T>& a, const Keep& keep,
-                          PrimitiveStats* stats = nullptr) {
+                          PrimitiveStats* stats = nullptr,
+                          ThreadPool* pool = nullptr) {
   const uint64_t kept = AssignCompactionRanks(a, keep);
-  RouteToFront(a, stats);
+  RouteToFront(a, stats, pool);
   return kept;
 }
 
@@ -63,7 +71,7 @@ template <Routable T, typename Keep>
   requires CtPredicate<Keep, T>
 uint64_t ObliviousCompactBySort(memtrace::OArray<T>& a, const Keep& keep,
                                 PrimitiveStats* stats = nullptr,
-                                SortPolicy sort_policy = SortPolicy::kBlocked) {
+                                SortPolicy sort_policy = kDefaultSortPolicy) {
   const uint64_t kept = AssignCompactionRanks(a, keep);
   uint64_t* comparisons = stats != nullptr ? &stats->sort_comparisons : nullptr;
   Sort(a, NullsLastByDestLess{}, sort_policy, comparisons);

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "common/timer.h"
 #include "crypto/feistel_prp.h"
 #include "memtrace/oarray.h"
 #include "obliv/bitonic_sort.h"
@@ -33,12 +34,14 @@ namespace oblivdb::obliv {
 // [1, a.size()] set via SetRouteDest (0 = null, to be discarded into slack);
 // a[n, size) holds nulls.  Destinations of non-null elements are distinct.
 // On exit: each non-null element x sits at index GetRouteDest(x) - 1.
+// `pool` (nullptr = global pool) runs both the sort and the route.
 // `chosen` (optional) receives the sort tier that actually ran the prefix
 // sort — the dominant cost of the pass — for per-operator reporting.
+// stats->route_seconds accumulates the route's wall time.
 template <Routable T>
 void ObliviousDistribute(memtrace::OArray<T>& a, size_t n,
                          PrimitiveStats* stats = nullptr,
-                         SortPolicy sort_policy = SortPolicy::kBlocked,
+                         SortPolicy sort_policy = kDefaultSortPolicy,
                          ThreadPool* pool = nullptr,
                          SortPolicy* chosen = nullptr) {
   OBLIVDB_CHECK_LE(n, a.size());
@@ -46,7 +49,9 @@ void ObliviousDistribute(memtrace::OArray<T>& a, size_t n,
   // Sort only the occupied prefix (O(n log^2 n)); the tail is already null.
   SortRange(a, 0, n, NullsLastByDestLess{}, sort_policy, comparisons, pool,
             chosen);
-  RouteForward(a, stats);
+  Timer route_timer;
+  RouteForward(a, stats, pool);
+  if (stats != nullptr) stats->route_seconds += route_timer.ElapsedSeconds();
 }
 
 // How ObliviousDistributeProbabilistic undoes the PRP mask after the
@@ -56,9 +61,9 @@ enum class DistributeUndo : uint8_t {
   // destination key, executed under the caller's SortPolicy.
   kFullSort,
   // The tag-sort path: sort narrow SortKey{route_dest} tags with the
-  // blocked (or pool-parallel) kernel, then route the wide payloads through
-  // one Beneš pass — O(m log^2 m) on 16-byte tags plus O(m log m) wide
-  // conditional swaps instead of O(m log^2 m) full-width compare-exchanges.
+  // blocked network, then route the wide payloads through one Beneš pass —
+  // O(m log^2 m) on 16-byte tags plus O(m log m) wide conditional swaps
+  // instead of O(m log^2 m) full-width compare-exchanges.
   kTagSort,
   // Width-aware crossover: take the tag path when the element is wide
   // enough and m large enough for the tag sort's fixed costs to pay
@@ -88,7 +93,7 @@ void ObliviousDistributeProbabilistic(memtrace::OArray<T>& a, size_t n,
                                       uint64_t prp_key,
                                       PrimitiveStats* stats = nullptr,
                                       SortPolicy sort_policy =
-                                          SortPolicy::kBlocked,
+                                          kDefaultSortPolicy,
                                       ThreadPool* pool = nullptr,
                                       DistributeUndo undo =
                                           DistributeUndo::kAuto) {
@@ -125,20 +130,9 @@ void ObliviousDistributeProbabilistic(memtrace::OArray<T>& a, size_t n,
                : DistributeUndo::kFullSort;
   }
   uint64_t* comparisons = stats != nullptr ? &stats->sort_comparisons : nullptr;
-  if (undo == DistributeUndo::kTagSort) {
-    // Take the pool-parallel tag tier only where its tag phase can
-    // actually fan out; below that floor don't even touch the pool
-    // (ThreadPool::Global() spawns its workers on first use — the same
-    // small-sort hygiene as SortRange's kAuto path).
-    SortPolicy tag_policy = SortPolicy::kTagSort;
-    if (m >= internal::kParallelCutoff &&
-        (pool != nullptr ? *pool : ThreadPool::Global()).worker_count() > 1) {
-      tag_policy = SortPolicy::kParallelTag;
-    }
-    Sort(scattered, NullsLastByDestLess{}, tag_policy, comparisons, pool);
-  } else {
-    Sort(scattered, NullsLastByDestLess{}, sort_policy, comparisons, pool);
-  }
+  Sort(scattered, NullsLastByDestLess{},
+       undo == DistributeUndo::kTagSort ? SortPolicy::kTagSort : sort_policy,
+       comparisons, pool);
 
   for (size_t s = 0; s < m; ++s) a.Write(s, scattered.Read(s));
 }

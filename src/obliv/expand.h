@@ -37,14 +37,20 @@ concept CtCount = requires(const F& f, const T& t) {
 template <Routable T, typename CountFn>
   requires CtCount<CountFn, T>
 uint64_t AssignExpandDestinations(memtrace::OArray<T>& x, const CountFn& g) {
+  // Raw storage, with the <R,i> <W,i> of a Read/Write loop reported
+  // through a cached emitter (one sink test per pass).
+  const typename memtrace::OArray<T>::EventEmitter emitter(x);
+  T* d = x.UntracedData();
   uint64_t next_free = 1;  // the paper's running sum s
   for (size_t i = 0; i < x.size(); ++i) {
-    T e = x.Read(i);
+    emitter.EmitRead(i);
+    T e = d[i];
     const uint64_t count = g(e);
     const uint64_t is_zero = ct::EqMask(count, 0);
     SetRouteDest(e, ct::Select(is_zero, 0, next_free));
     next_free += count;  // adds 0 when count == 0; no branch needed
-    x.Write(i, e);
+    emitter.EmitWrite(i);
+    d[i] = e;
   }
   return next_free - 1;
 }
@@ -54,10 +60,11 @@ uint64_t AssignExpandDestinations(memtrace::OArray<T>& x, const CountFn& g) {
 // Requires out.size() >= max(x.size(), m) — exactly the paper's
 // max(n_i, m) space bound (§6.2) — and out pre-initialized to nulls
 // (zero-initialized entries have dest 0, so a fresh OArray qualifies).
+// `pool` (nullptr = global pool) runs the distribution's sort and route.
 template <Routable T>
 void ExpandToDestinations(const memtrace::OArray<T>& x, memtrace::OArray<T>& out,
                           uint64_t m, PrimitiveStats* stats = nullptr,
-                          SortPolicy sort_policy = SortPolicy::kBlocked,
+                          SortPolicy sort_policy = kDefaultSortPolicy,
                           ThreadPool* pool = nullptr,
                           SortPolicy* chosen = nullptr) {
   const size_t n = x.size();
@@ -70,14 +77,17 @@ void ExpandToDestinations(const memtrace::OArray<T>& x, memtrace::OArray<T>& out
   ObliviousDistribute(out, n, stats, sort_policy, pool, chosen);
 
   // Fill-down: each slot that still holds a null inherits the most recent
-  // real element.  The blend touches every slot identically.
+  // real element.  The blend touches every slot identically (<R,i> <W,i>,
+  // on raw storage as above).
+  const typename memtrace::OArray<T>::EventEmitter emitter(out);
+  T* d = out.UntracedData();
   T previous{};  // zero-initialized null
   for (uint64_t i = 0; i < m; ++i) {
-    T current = out.Read(i);
-    const uint64_t is_null = ct::EqMask(GetRouteDest(current), 0);
-    current = ct::Blend(is_null, previous, current);
-    previous = current;
-    out.Write(i, current);
+    emitter.EmitRead(i);
+    const uint64_t is_null = ct::EqMask(GetRouteDest(d[i]), 0);
+    previous = ct::Blend(is_null, previous, d[i]);
+    emitter.EmitWrite(i);
+    d[i] = previous;
   }
 }
 

@@ -323,11 +323,9 @@ struct ShiftedEmitter {
   void EmitWrite(size_t i) { em.EmitWrite(offset + i); }
 };
 
-// Shared body of the sequential and pool-parallel range permutes: one
-// place owns the in-place-vs-padded-scratch staging (and therefore the
-// trace shape); `pool == nullptr` selects the sequential Apply, non-null
-// the column-parallel ApplyParallel (whose gate-order replay keeps the
-// emitted trace byte-identical).
+// `pool == nullptr` selects the sequential Apply, non-null the
+// column-parallel ApplyParallel (whose gate-order replay keeps the emitted
+// trace byte-identical).
 template <typename T, typename Emitter>
 void ApplyNetwork(const BenesNetwork& net, T* d, Emitter* emitter,
                   ThreadPool* pool) {
@@ -340,18 +338,28 @@ void ApplyNetwork(const BenesNetwork& net, T* d, Emitter* emitter,
   }
 }
 
+}  // namespace internal
+
+// Routes a[lo, lo+len) through `net` so that, on return,
+// a[lo + p] = old a[lo + net_perm[p]].  len must equal net.input_size().
+// Power-of-two lengths run in place; ragged lengths stage through a padded
+// scratch array.  A non-null `fan_out` applies the payload columns on that
+// pool (BenesNetwork::ApplyParallel): same result, and — because traced
+// columns replay their events in gate order — the same byte-identical
+// trace as the sequential routing.
 template <typename T>
-void PermuteRangeImpl(memtrace::OArray<T>& a, size_t lo,
-                      const BenesNetwork& net, ThreadPool* pool) {
+void ObliviousPermuteRange(memtrace::OArray<T>& a, size_t lo,
+                           const BenesNetwork& net,
+                           ThreadPool* fan_out = nullptr) {
   const size_t n = net.input_size();
   OBLIVDB_CHECK_LE(lo, a.size());
   OBLIVDB_CHECK_LE(n, a.size() - lo);
   if (n < 2) return;
   if (net.network_size() == n) {
-    ShiftedEmitter<T> shifted{typename memtrace::OArray<T>::EventEmitter(a),
-                              lo};
-    ApplyNetwork(net, a.UntracedData() + lo,
-                 shifted.em.traced() ? &shifted : nullptr, pool);
+    internal::ShiftedEmitter<T> shifted{
+        typename memtrace::OArray<T>::EventEmitter(a), lo};
+    internal::ApplyNetwork(net, a.UntracedData() + lo,
+                           shifted.em.traced() ? &shifted : nullptr, fan_out);
     return;
   }
   // Ragged length: stage through a padded scratch array (its allocation
@@ -360,33 +368,9 @@ void PermuteRangeImpl(memtrace::OArray<T>& a, size_t lo,
   memtrace::OArray<T> scratch(net.network_size(), "benes");
   memtrace::CopySpan(a, lo, scratch, 0, n);
   typename memtrace::OArray<T>::EventEmitter em(scratch);
-  ApplyNetwork(net, scratch.UntracedData(), em.traced() ? &em : nullptr,
-               pool);
+  internal::ApplyNetwork(net, scratch.UntracedData(),
+                         em.traced() ? &em : nullptr, fan_out);
   memtrace::CopySpan(scratch, 0, a, lo, n);
-}
-
-}  // namespace internal
-
-// Routes a[lo, lo+len) through `net` so that, on return,
-// a[lo + p] = old a[lo + net_perm[p]].  len must equal net.input_size().
-// Power-of-two lengths run in place; ragged lengths stage through a padded
-// scratch array.
-template <typename T>
-void ObliviousPermuteRange(memtrace::OArray<T>& a, size_t lo,
-                           const BenesNetwork& net) {
-  internal::PermuteRangeImpl(a, lo, net, /*pool=*/nullptr);
-}
-
-// ObliviousPermuteRange with the payload columns fanned out on `pool`
-// (nullptr = ThreadPool::Global()) via BenesNetwork::ApplyParallel.  Same
-// result, and — because traced columns replay their events in gate order —
-// the same byte-identical trace as the sequential routing.
-template <typename T>
-void ObliviousPermuteRangeParallel(memtrace::OArray<T>& a, size_t lo,
-                                   const BenesNetwork& net,
-                                   ThreadPool* pool = nullptr) {
-  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::Global();
-  internal::PermuteRangeImpl(a, lo, net, &workers);
 }
 
 // Whole-array convenience: a becomes a[perm[0]], a[perm[1]], ...

@@ -1,12 +1,18 @@
 // SortPolicy dispatch: one call site, any execution of the same logical
 // sort.  The policy vocabulary itself lives in obliv/sort_policy.h (see its
 // header comment for the tier-by-tier contract); this header composes the
-// kernels — reference network, blocked, pool-parallel, tag sort, parallel
-// tag sort — and resolves SortPolicy::kAuto through a small measured cost
-// model.
+// kernels — reference network, blocked / pool-parallel network, tag sort —
+// and resolves SortPolicy::kAuto through a small measured cost model.
 //
-// The kAuto model estimates per-element nanoseconds for every *eligible*
-// tier from four public quantities — element width, tag width (0 when the
+// The two execution tiers each take the sort's pool: kBlocked and kTagSort
+// fan out over its workers whenever it has more than one, the range
+// reaches the task cutoff (2^12 elements) and no trace sink is installed,
+// and run their sequential kernels otherwise.  A one-worker pool therefore
+// reproduces the single-core library exactly, which is what the query
+// service's per-session slot pools rely on.
+//
+// The kAuto model estimates per-element nanoseconds for both eligible
+// tiers from four public quantities — element width, tag width (0 when the
 // comparator has no faithful SortKey projection), range length, and pool
 // worker count — and dispatches the argmin.  All four inputs are public
 // configuration or revealed sizes, so the resolution is itself a public
@@ -24,11 +30,11 @@
 //
 // With these constants the model reproduces the measured crossovers: tag
 // sort overtakes the blocked kernel on 72-byte entries between 2^13 and
-// 2^14 and never wins on 16-byte items; the parallel tiers need both a
-// multi-worker pool and >= 2^14 elements to amortize the fork-join cost.
+// 2^14 and never wins on 16-byte items; the fan-out needs both a
+// multi-worker pool and >= 2^12 elements to amortize the fork-join cost.
 //
-// Every policy preserves level II obliviousness; the policy choice itself
-// is public configuration.  tests/sort_kernel_test.cc and
+// Every policy preserves level II obliviousness; the policy choice and the
+// pool size are public configuration.  tests/sort_kernel_test.cc and
 // tests/tag_sort_test.cc pin the equivalences.
 
 #ifndef OBLIVDB_OBLIV_SORT_KERNEL_H_
@@ -141,7 +147,6 @@ inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
   using namespace internal;
   if (n < 2) return 0.0;
   const double levels = static_cast<double>(Log2Floor(CeilPow2(n)));
-  const double inv_n = 1.0 / static_cast<double>(n);
   const double full_network = NetworkNsPerElement(elem_bytes, levels);
   const double tag_network = NetworkNsPerElement(tag_bytes, levels);
   // One Beneš pass: (2 log n - 1)/2 full-width gates per element, plus the
@@ -150,6 +155,11 @@ inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
                              static_cast<double>(elem_bytes / 8) *
                              (2.0 * levels - 1.0) / 2.0;
   const double benes_plan = kPlanLevelNs * levels;
+  // Below the task cutoff, or on one worker, both tiers run their
+  // sequential kernels: no speedup, no fork-join cost.
+  const bool fans_out = workers > 1 && n >= kParallelCutoff;
+  const double fork_join = fans_out ? kForkJoinNs / static_cast<double>(n)
+                                    : 0.0;
   switch (policy) {
     case SortPolicy::kReference:
       // Four sink-tested by-value accesses per exchange: ~2x the blocked
@@ -157,31 +167,23 @@ inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
       // for completeness.
       return 2.0 * full_network;
     case SortPolicy::kBlocked:
-      return full_network;
-    case SortPolicy::kParallel:
-      // Below the task cutoff the parallel kernel runs the blocked path
-      // outright: no speedup, no fork-join cost.
-      if (n < kParallelCutoff) return full_network;
-      return full_network / PassSpeedup(elem_bytes, workers) +
-             kForkJoinNs * inv_n;
-    case SortPolicy::kTagSort:
-      return tag_network + benes_gates + benes_plan;
-    case SortPolicy::kParallelTag: {
+      if (!fans_out) return full_network;
+      return full_network / PassSpeedup(elem_bytes, workers) + fork_join;
+    case SortPolicy::kTagSort: {
+      if (!fans_out) return tag_network + benes_gates + benes_plan;
       // The narrow network fans out compute-bound, the Beneš columns
       // bandwidth-capped, and the planner per-level (plan_speedup_cap).
-      // Each phase is only credited with a speedup its kernel actually
-      // delivers: ApplyParallel runs sequential below its network-size
-      // floor, and the tag network below the task cutoff.
-      const double tag_speedup =
-          n >= kParallelCutoff ? PassSpeedup(tag_bytes, workers) : 1.0;
+      // The columns are only credited with a speedup above their own
+      // network-size floor, where ApplyParallel actually fans out.
       const double gate_speedup =
           CeilPow2(n) >= BenesNetwork::kMinParallelApplySize
               ? PassSpeedup(elem_bytes, workers)
               : 1.0;
-      return tag_network / tag_speedup + benes_gates / gate_speedup +
+      return tag_network / PassSpeedup(tag_bytes, workers) +
+             benes_gates / gate_speedup +
              benes_plan /
                  ParallelSpeedup(workers, CostModel().plan_speedup_cap) +
-             kForkJoinNs * inv_n;
+             fork_join;
     }
     case SortPolicy::kAuto:
       break;
@@ -190,35 +192,22 @@ inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
   return 0.0;
 }
 
-// Resolves kAuto to the cheapest eligible concrete tier for a sort of n
+// Resolves kAuto to the cheaper of kBlocked and kTagSort for a sort of n
 // elements of elem_bytes width (tag_bytes = 0 when the comparator has no
-// faithful projection).  Non-kAuto policies pass through unchanged.  The
-// inputs are all public, so the resolution leaks nothing.
+// faithful projection, which leaves kBlocked as the only candidate), both
+// priced at the pool's worker count.  Non-kAuto policies pass through
+// unchanged.  The inputs are all public, so the resolution leaks nothing.
 inline SortPolicy ResolveSortPolicy(SortPolicy policy, size_t elem_bytes,
                                     size_t tag_bytes, size_t n,
                                     unsigned workers) {
   if (policy != SortPolicy::kAuto) return policy;
-  SortPolicy best = SortPolicy::kBlocked;
-  double best_ns = EstimateSortNsPerElement(best, elem_bytes, tag_bytes, n,
-                                            workers);
-  auto consider = [&](SortPolicy candidate) {
-    const double ns =
-        EstimateSortNsPerElement(candidate, elem_bytes, tag_bytes, n, workers);
-    if (ns < best_ns) {
-      best = candidate;
-      best_ns = ns;
-    }
-  };
-  if (workers > 1 && n >= internal::kParallelCutoff) {
-    consider(SortPolicy::kParallel);
-  }
-  if (tag_bytes != 0 && n >= kTagSortMinLen) {
-    consider(SortPolicy::kTagSort);
-    if (workers > 1 && n >= internal::kParallelCutoff) {
-      consider(SortPolicy::kParallelTag);
-    }
-  }
-  return best;
+  if (tag_bytes == 0 || n < kTagSortMinLen) return SortPolicy::kBlocked;
+  return EstimateSortNsPerElement(SortPolicy::kTagSort, elem_bytes, tag_bytes,
+                                  n, workers) <
+                 EstimateSortNsPerElement(SortPolicy::kBlocked, elem_bytes,
+                                          tag_bytes, n, workers)
+             ? SortPolicy::kTagSort
+             : SortPolicy::kBlocked;
 }
 
 // Cost-model arbiter for the run-merge elision (core/order.h): given two
@@ -244,8 +233,8 @@ bool RunMergePays(SortPolicy policy, size_t n1, bool covered1, size_t n2,
   if constexpr (TagProjectable<Less, T>) {
     tag_bytes = 8 * (Less::kSortKeyWords + 1);
   }
-  // Mirror SortRange's worker probe: below the parallel cutoff no parallel
-  // tier is eligible, so do not force the global pool to spawn.
+  // Mirror SortRange's worker probe: below the task cutoff nothing fans
+  // out, so do not force the global pool to spawn.
   auto workers_for = [&](size_t len) -> unsigned {
     if (len < internal::kParallelCutoff) return 1;
     return (pool != nullptr ? *pool : ThreadPool::Global()).worker_count();
@@ -270,12 +259,15 @@ bool RunMergePays(SortPolicy policy, size_t n1, bool covered1, size_t n2,
 }
 
 // Policy dispatchers: one call site, any implementation.  `pool` is the
-// worker pool for the parallel tiers (kParallel's task fan-out, kTagSort's
-// Beneš switch planning, kParallelTag's column fan-out); nullptr means the
-// process-wide ThreadPool::Global().  The relational layer passes
-// ExecContext::pool.  `chosen` (optional) receives the concrete tier that
-// ran — interesting under kAuto; operators record it in
-// JoinStats::op_sort_policy_chosen.
+// worker pool the tiers fan out on (kBlocked's task-parallel network,
+// kTagSort's tag network, Beneš switch planning and payload columns);
+// nullptr means the process-wide ThreadPool::Global().  The relational
+// layer passes ExecContext::pool.  `chosen` (optional) receives the
+// concrete tier that ran — interesting under kAuto; operators record it in
+// JoinStats::op_sort_policy_chosen.  Under a concrete policy the pool
+// size changes neither the tier, the element order, the comparison count
+// nor the trace (kAuto's resolution does read the worker count).  Only
+// untraced sorts fan out.
 template <typename T, typename Less>
   requires CtLess<Less, T>
 void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
@@ -285,80 +277,56 @@ void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
   // Cancellation checkpoint: one per operator sort.  The sort's position
   // and length are public, so the poll is oblivious-safe (common/cancel.h).
   Checkpoint("sort");
+  // Below the task cutoff nothing fans out, so leave the pool alone
+  // (ThreadPool::Global() spawns its workers on first use).
+  unsigned workers = 1;
+  if (len >= internal::kParallelCutoff) {
+    workers = (pool != nullptr ? *pool : ThreadPool::Global()).worker_count();
+  }
   if (policy == SortPolicy::kAuto) {
     size_t tag_bytes = 0;
     if constexpr (TagProjectable<Less, T>) {
       tag_bytes = 8 * (Less::kSortKeyWords + 1);
     }
-    // Below the parallel cutoff no parallel tier is eligible, so don't
-    // touch the pool at all — ThreadPool::Global() spawns its workers on
-    // first use, and a small kAuto sort should not pay that side effect.
-    unsigned workers = 1;
-    if (len >= internal::kParallelCutoff) {
-      workers = (pool != nullptr ? *pool : ThreadPool::Global())
-                    .worker_count();
-    }
     policy = ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, workers);
   }
-  // Resolve every whole-path fallback *before* recording, so `chosen`
+  // Resolve the whole-path fallbacks *before* recording, so `chosen`
   // reports the tier that actually executes (the contract of
-  // op_sort_policy_chosen and the annotated ExplainPlan).  Comparators
-  // without a faithful projection cannot run the tag tiers; below the
-  // kernels' public size floors the tag and parallel paths run the blocked
-  // kernel outright (mirrors of the conditions inside
-  // BitonicSortRangeTaggedImpl and BitonicSortRangeParallel).  A
-  // kParallelTag at or above the tag floor stays kParallelTag even when an
-  // inner phase degrades (e.g. the Beneš columns below their 2^14 fan-out
-  // floor): the key/payload-separated path is still what runs.
+  // op_sort_policy_chosen and the annotated ExplainPlan): comparators
+  // without a faithful projection, and ranges below the tag floor, run
+  // the kBlocked network (mirrors BitonicSortRangeTagged's own floor).
   if constexpr (!TagProjectable<Less, T>) {
     if (policy == SortPolicy::kTagSort) policy = SortPolicy::kBlocked;
-    if (policy == SortPolicy::kParallelTag) policy = SortPolicy::kParallel;
   }
-  if ((policy == SortPolicy::kTagSort || policy == SortPolicy::kParallelTag) &&
-      len < kTagSortMinLen) {
+  if (policy == SortPolicy::kTagSort && len < kTagSortMinLen) {
     policy = SortPolicy::kBlocked;
-  }
-  if (policy == SortPolicy::kParallel &&
-      (len < internal::kParallelCutoff ||
-       (pool != nullptr ? *pool : ThreadPool::Global()).worker_count() <=
-           1)) {
-    policy = SortPolicy::kBlocked;
-  }
-  // Graceful degradation (common/fault.h): before fanning out, the
-  // parallel tiers probe for a failed task spawn (fault site "pool_spawn")
-  // and fall back to their sequential equivalents — kParallelTag keeps the
-  // key/payload separation as kTagSort, kParallel keeps the blocked kernel.
-  // Every tier sorts to the same element order, and each downgraded tier's
-  // trace is byte-identical to its parallel sibling's (the PR 2/PR 4
-  // equivalence contracts), so a degraded run's output and trace are
-  // unchanged; only wall time moves.  The probe consults only the injector
-  // (spec, seed, arrival count) — never the data.
-  if (policy == SortPolicy::kParallel || policy == SortPolicy::kParallelTag) {
-    if (!(pool != nullptr ? *pool : ThreadPool::Global()).TrySpawnProbe()) {
-      policy = policy == SortPolicy::kParallelTag ? SortPolicy::kTagSort
-                                                  : SortPolicy::kBlocked;
-      FaultInjector::Global().RecordDegradation();
-    }
   }
   if (chosen != nullptr) *chosen = policy;
+  // Only untraced sorts fan out: the fanned-out kernels trace identically,
+  // but by buffering every event until the sort ends (a traced 2^15-row
+  // join peaks at ~350 MB instead of ~10 MB).  A refused spawn probe (fault
+  // site "pool_spawn", common/fault.h) degrades to the sequential kernel:
+  // same order and trace, only wall time moves; the probe reads no data.
+  bool parallel = false;
+  if (workers > 1 && policy != SortPolicy::kReference &&
+      memtrace::GetTraceSink() == nullptr) {
+    parallel = (pool != nullptr ? *pool : ThreadPool::Global())
+                   .TrySpawnProbe();
+    if (!parallel) FaultInjector::Global().RecordDegradation();
+  }
   switch (policy) {
     case SortPolicy::kBlocked:
-      BitonicSortRangeBlocked(a, lo, len, less, comparisons);
-      break;
-    case SortPolicy::kParallel:
-      BitonicSortRangeParallel(a, lo, len, less, /*threads=*/0, comparisons,
-                               internal::kCrossPassChunk, pool);
+      if (parallel) {
+        BitonicSortRangeParallel(a, lo, len, less, /*threads=*/0, comparisons,
+                                 internal::kCrossPassChunk, pool);
+      } else {
+        BitonicSortRangeBlocked(a, lo, len, less, comparisons);
+      }
       break;
     case SortPolicy::kTagSort:
       if constexpr (TagProjectable<Less, T>) {
         BitonicSortRangeTagged(a, lo, len, less, comparisons, kSortBlockBytes,
-                               pool);
-      }
-      break;
-    case SortPolicy::kParallelTag:
-      if constexpr (TagProjectable<Less, T>) {
-        BitonicSortRangeTaggedParallel(a, lo, len, less, comparisons,
-                                       kSortBlockBytes, pool);
+                               pool, parallel);
       }
       break;
     case SortPolicy::kReference:

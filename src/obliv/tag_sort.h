@@ -23,11 +23,11 @@
 // the reference network for all pipeline comparators and trace
 // data-independence of the whole composite.
 //
-// The multi-core tier (BitonicSortRangeTaggedParallel, SortPolicy::
-// kParallelTag) runs the same three phases with the narrow sort on the
-// pool-parallel kernel and the Beneš columns fanned out per level; both
-// replay their traces in deterministic order, so the traced event stream
-// stays byte-identical to the sequential tag sort's.
+// With `parallel` set (SortPolicy::kTagSort, untraced, on a multi-worker
+// pool) the same three phases run with the narrow sort on the pool-parallel
+// kernel and the Beneš columns fanned out per level; both replay their
+// traces in deterministic order, so the traced event stream stays
+// byte-identical to the sequential tag sort's.
 
 #ifndef OBLIVDB_OBLIV_TAG_SORT_H_
 #define OBLIVDB_OBLIV_TAG_SORT_H_
@@ -82,17 +82,25 @@ void ForSpanChunks(size_t len, const Fn& fn) {
   }
 }
 
-// Shared body of the sequential and pool-parallel tag sorts.  `parallel`
-// swaps the execution strategy of phases 2 and 3 only — the tag network
-// runs on the kParallel tier (deterministic per-task trace replay) and the
-// Beneš payload columns are applied gate-chunk-parallel (column replay in
-// gate order) — so the traced event stream is byte-identical either way.
+}  // namespace internal
+
+// Sorts a[lo, lo+len) ascending under `less` via the tag-sort path.  Same
+// element order as BitonicSortRange under any faithful projection; same
+// comparison count (the tag network runs the identical schedule).  `pool`
+// (nullptr = global pool) feeds the Beneš switch-planning fan-out; with
+// `parallel` set, the tag network runs on the pool-parallel kernel
+// (deterministic per-task trace replay) and the Beneš payload columns are
+// applied gate-chunk-parallel (column replay in gate order), so the traced
+// event stream is byte-identical either way (tests/tag_sort_test.cc).
 template <typename T, typename Less>
   requires CtLess<Less, T> && TagProjectable<Less, T>
-void BitonicSortRangeTaggedImpl(memtrace::OArray<T>& a, size_t lo, size_t len,
-                                const Less& less, uint64_t* comparisons,
-                                size_t block_bytes, ThreadPool* pool,
-                                bool parallel) {
+void BitonicSortRangeTagged(memtrace::OArray<T>& a, size_t lo, size_t len,
+                            const Less& less,
+                            uint64_t* comparisons = nullptr,
+                            size_t block_bytes = kSortBlockBytes,
+                            ThreadPool* pool = nullptr,
+                            bool parallel = false) {
+  using namespace internal;
   OBLIVDB_CHECK_LE(lo, a.size());
   OBLIVDB_CHECK_LE(len, a.size() - lo);
   if (len < kTagSortMinLen) {
@@ -147,54 +155,9 @@ void BitonicSortRangeTaggedImpl(memtrace::OArray<T>& a, size_t lo, size_t len,
   // is trace-silent, so hit vs. miss changes only wall time.
   const std::shared_ptr<const BenesNetwork> net =
       PlanBenesNetwork(std::move(perm), pool);
-  if (parallel) {
-    ObliviousPermuteRangeParallel(a, lo, *net, pool);
-  } else {
-    ObliviousPermuteRange(a, lo, *net);
-  }
-}
-
-}  // namespace internal
-
-// Sorts a[lo, lo+len) ascending under `less` via the tag-sort path.  Same
-// element order as BitonicSortRange under any faithful projection; same
-// comparison count (the tag network runs the identical schedule).  `pool`
-// feeds the Beneš switch-planning fan-out (nullptr = global pool).
-template <typename T, typename Less>
-  requires CtLess<Less, T> && TagProjectable<Less, T>
-void BitonicSortRangeTagged(memtrace::OArray<T>& a, size_t lo, size_t len,
-                            const Less& less,
-                            uint64_t* comparisons = nullptr,
-                            size_t block_bytes = kSortBlockBytes,
-                            ThreadPool* pool = nullptr) {
-  internal::BitonicSortRangeTaggedImpl(a, lo, len, less, comparisons,
-                                       block_bytes, pool, /*parallel=*/false);
-}
-
-// The multi-core wide-element tier (SortPolicy::kParallelTag): the narrow
-// tag sort runs task-parallel on `pool` and the Beneš payload columns are
-// applied gate-chunk-parallel.  Same element order, comparison count, and —
-// because both parallel phases replay their traces in deterministic
-// sequential order — byte-identical traced event stream as the sequential
-// tag sort (tests/tag_sort_test.cc pins all three).
-template <typename T, typename Less>
-  requires CtLess<Less, T> && TagProjectable<Less, T>
-void BitonicSortRangeTaggedParallel(memtrace::OArray<T>& a, size_t lo,
-                                    size_t len, const Less& less,
-                                    uint64_t* comparisons = nullptr,
-                                    size_t block_bytes = kSortBlockBytes,
-                                    ThreadPool* pool = nullptr) {
-  internal::BitonicSortRangeTaggedImpl(a, lo, len, less, comparisons,
-                                       block_bytes, pool, /*parallel=*/true);
-}
-
-// Whole-array convenience.
-template <typename T, typename Less>
-  requires CtLess<Less, T> && TagProjectable<Less, T>
-void BitonicSortTagged(memtrace::OArray<T>& a, const Less& less,
-                       uint64_t* comparisons = nullptr,
-                       size_t block_bytes = kSortBlockBytes) {
-  BitonicSortRangeTagged(a, 0, a.size(), less, comparisons, block_bytes);
+  ObliviousPermuteRange(
+      a, lo, *net,
+      parallel ? (pool != nullptr ? pool : &ThreadPool::Global()) : nullptr);
 }
 
 }  // namespace oblivdb::obliv

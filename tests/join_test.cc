@@ -4,8 +4,11 @@
 #include <vector>
 
 #include "baselines/sort_merge.h"
+#include "common/thread_pool.h"
 #include "core/join.h"
+#include "memtrace/sinks.h"
 #include "obliv/bitonic_sort.h"
+#include "obliv/routing.h"
 #include "workload/generators.h"
 
 namespace oblivdb::core {
@@ -163,6 +166,62 @@ TEST(JoinTest, StatsMatchNetworkSizeModelExactly) {
               route_ops(std::max(stats.n1, m)) +
                   route_ops(std::max(stats.n2, m)));
   }
+}
+
+// The shipped default ExecContext above the sorts' task cutoff (2^12) and
+// the routes' fan-out floor (2^14 slots): on a four-worker pool the sorts
+// and the expansion routes fan out, on a one-worker pool they run
+// sequentially.  Rows, per-phase counts, the reported tier and — for a
+// traced run — the whole event stream must not depend on which.
+TEST(JoinTest, DefaultContextSameRowsCountsAndTraceOnOneAndFourWorkers) {
+  struct Run {
+    std::vector<JoinedRecord> rows;
+    JoinStats stats;
+    std::string digest;
+  };
+  auto run = [](const workload::TestCase& tc, unsigned workers,
+                bool traced) {
+    ThreadPool pool(workers);
+    ExecContext ctx;
+    // The compiled-in default, whatever OBLIVDB_SORT_POLICY says: kAuto's
+    // resolution legitimately depends on the (public) worker count.
+    ctx.sort_policy = ExecContext::kDefaultSortPolicy;
+    ctx.pool = &pool;
+    Run r;
+    ctx.stats = &r.stats;
+    memtrace::HashTraceSink sink;
+    {
+      memtrace::TraceScope scope(traced ? &sink : nullptr);
+      r.rows = ObliviousJoin(tc.t1, tc.t2, ctx);
+    }
+    if (traced) r.digest = sink.HexDigest();
+    return r;
+  };
+  auto expect_same = [](const Run& a, const Run& b) {
+    EXPECT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.stats.augment_sort_comparisons,
+              b.stats.augment_sort_comparisons);
+    EXPECT_EQ(a.stats.expand_sort_comparisons,
+              b.stats.expand_sort_comparisons);
+    EXPECT_EQ(a.stats.expand_route_ops, b.stats.expand_route_ops);
+    EXPECT_EQ(a.stats.align_sort_comparisons, b.stats.align_sort_comparisons);
+    EXPECT_EQ(a.stats.op_sort_policy_chosen, b.stats.op_sort_policy_chosen);
+    EXPECT_EQ(a.digest, b.digest);
+  };
+
+  // Untraced: every expansion array holds max(n_i, m) >= 2^14 slots, so the
+  // routes fan out too.
+  const auto big = workload::Figure8Workload((1u << 15) + (1u << 12), 11);
+  const Run seq = run(big, 1, /*traced=*/false);
+  ASSERT_GE(std::min(seq.stats.n1, seq.stats.n2),
+            obliv::internal::kParallelRouteMinLen);
+  EXPECT_EQ(seq.rows, baselines::SortMergeJoin(big.t1, big.t2));
+  expect_same(seq, run(big, 4, /*traced=*/false));
+
+  // Traced: sorts and routes stay sequential under a sink, so the stream
+  // must match whatever the pool (~10^4 rows keeps the SHA-256 chain quick).
+  const auto small = workload::Figure8Workload(10000, 12);
+  expect_same(run(small, 1, /*traced=*/true), run(small, 4, /*traced=*/true));
 }
 
 }  // namespace

@@ -253,11 +253,15 @@ TEST(FaultSiteTest, AllocFaultReturnsResourceExhaustedUnderScope) {
   EXPECT_TRUE(again.ok());
 }
 
-TEST(FaultSiteTest, PoolSpawnFaultDegradesParallelTagToTagSort) {
-  const auto tc = workload::PowerLaw(64, 2.0, 7);
+// A refused spawn probe runs each fanned-out sort (and route) on its
+// sequential kernel: same tier, same bytes, one degradation each.
+TEST(FaultSiteTest, PoolSpawnFaultDegradesFanOutToSequential) {
+  const auto tc = workload::PowerLaw(4096, 2.0, 7);
+  ThreadPool pool(4);
   core::JoinStats clean_stats;
   core::ExecContext clean_ctx;
-  clean_ctx.sort_policy = obliv::SortPolicy::kParallelTag;
+  clean_ctx.sort_policy = obliv::SortPolicy::kTagSort;
+  clean_ctx.pool = &pool;
   clean_ctx.stats = &clean_stats;
   std::vector<JoinedRecord> clean;
   {
@@ -275,12 +279,12 @@ TEST(FaultSiteTest, PoolSpawnFaultDegradesParallelTagToTagSort) {
     ScopedFaultInjection scoped("pool_spawn:1");  // every fan-out refused
     faulty = core::ObliviousJoin(tc.t1, tc.t2, faulty_ctx);
   }
-  // Degradation preserves the output bytes (kParallelTag and kTagSort sort
-  // to the same order with the same trace contract); the stats record both
-  // the downgraded tier and the degradation count.
+  // Degradation preserves the output bytes (the fanned-out and sequential
+  // kernels sort to the same order with the same trace) and the reported
+  // tier; the stats record the degradation count.
   EXPECT_EQ(clean, faulty);
-  EXPECT_NE(faulty_stats.op_sort_policy_chosen,
-            obliv::SortPolicy::kParallelTag);
+  EXPECT_EQ(faulty_stats.op_sort_policy_chosen,
+            clean_stats.op_sort_policy_chosen);
   EXPECT_GT(faulty_stats.op_degradations, 0u);
   EXPECT_GT(faulty_stats.op_faults_injected, 0u);
   EXPECT_EQ(clean_stats.op_degradations, 0u);
@@ -292,21 +296,27 @@ TEST(FaultSiteTest, PoolSpawnFaultDowngradesSortTierInPlace) {
       a.Write(i, MakeEntry(Record{(i * 37) % 64, {i, i + 1}}, /*tid=*/1));
     }
   };
-  memtrace::OArray<Entry> clean(64, "deg_clean");
+  // Above the task cutoff, on a four-worker pool, so the tag tier fans out.
+  constexpr size_t kN = 5000;
+  ThreadPool pool(4);
+  memtrace::OArray<Entry> clean(kN, "deg_clean");
   fill(clean);
   obliv::SortPolicy clean_chosen = obliv::SortPolicy::kAuto;
-  obliv::SortRange(clean, 0, clean.size(), core::ByJoinKeyThenTidLess{},
-                   obliv::SortPolicy::kParallelTag, nullptr, nullptr,
-                   &clean_chosen);
-  EXPECT_EQ(clean_chosen, obliv::SortPolicy::kParallelTag);
+  {
+    ScopedFaultInjection off("");
+    obliv::SortRange(clean, 0, clean.size(), core::ByJoinKeyThenTidLess{},
+                     obliv::SortPolicy::kTagSort, nullptr, &pool,
+                     &clean_chosen);
+  }
+  EXPECT_EQ(clean_chosen, obliv::SortPolicy::kTagSort);
 
-  memtrace::OArray<Entry> faulty(64, "deg_faulty");
+  memtrace::OArray<Entry> faulty(kN, "deg_faulty");
   fill(faulty);
   obliv::SortPolicy faulty_chosen = obliv::SortPolicy::kAuto;
   {
     ScopedFaultInjection scoped("pool_spawn:once");
     obliv::SortRange(faulty, 0, faulty.size(), core::ByJoinKeyThenTidLess{},
-                     obliv::SortPolicy::kParallelTag, nullptr, nullptr,
+                     obliv::SortPolicy::kTagSort, nullptr, &pool,
                      &faulty_chosen);
     EXPECT_EQ(FaultInjector::Global().Snapshot().degradations, 1u);
   }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "crypto/chacha20.h"
 #include "memtrace/oarray.h"
 #include "memtrace/sinks.h"
@@ -330,6 +332,158 @@ TEST(RoutingTest, ForwardAndFrontAreMirrors) {
       ASSERT_EQ(arr.Read(r).value, 1000 + r);
     }
   }
+}
+
+// --- Fan-out over the pool ---------------------------------------------------
+
+// Untraced routes of >= 2^14 slots split each hop level j >= 256 across the
+// pool's workers by residue mod j.  Against a one-worker pool (the
+// reference pass) the fanned-out run must leave byte-equal arrays and an
+// equal route_ops count; traced runs must emit the same event stream.
+enum class Fill { kAllNull, kAllReal, kRandom };
+
+struct RouteRun {
+  std::vector<Slot> slots;
+  uint64_t route_ops = 0;
+  uint64_t trace_digest = 0;  // 0 for untraced runs
+  uint64_t trace_events = 0;
+};
+
+// Order-sensitive 64-bit digest of the whole event stream (allocation
+// shapes and every access).  HashTraceSink's SHA-256 chain would do, but
+// at ~10^6 events per route it dominates the test's run time.
+class StreamDigestSink : public memtrace::TraceSink {
+ public:
+  void OnAlloc(uint32_t array_id, const std::string&, size_t length,
+               size_t elem_size) override {
+    Mix(array_id);
+    Mix(length);
+    Mix(elem_size);
+  }
+  void OnAccess(const memtrace::AccessEvent& event) override {
+    ++events_;
+    Mix(static_cast<uint64_t>(event.kind));
+    Mix(event.array_id);
+    Mix(event.index);
+  }
+  uint64_t digest() const { return digest_; }
+  uint64_t events() const { return events_; }
+
+ private:
+  void Mix(uint64_t v) {
+    digest_ = (digest_ ^ v) * 0x100000001b3ULL;  // FNV-1a over words
+  }
+  uint64_t digest_ = 0xcbf29ce484222325ULL;
+  uint64_t events_ = 0;
+};
+
+// RouteForward input: a sorted, injective destination prefix.
+// RouteToFront input: elements scattered at positions with rank dests.
+// Both loaded with one write per slot, so the setup is oblivious too.
+std::vector<Slot> MakeRouteInput(size_t n, Fill fill, bool forward) {
+  std::vector<Slot> slots(n);
+  crypto::ChaCha20Rng rng(n * 31 + static_cast<uint64_t>(fill));
+  size_t count = 0;
+  for (size_t p = 0; p < n; ++p) {
+    const bool real = fill == Fill::kAllReal ||
+                      (fill == Fill::kRandom && rng.Uniform(3) == 0);
+    if (!real) continue;
+    if (forward) {
+      slots[count] = Slot{1000 + count, p + 1};  // element count -> slot p
+    } else {
+      slots[p] = Slot{1000 + count, count + 1};  // slot p -> rank count
+    }
+    ++count;
+  }
+  return slots;
+}
+
+RouteRun RunRoute(const std::vector<Slot>& input, bool forward,
+                  unsigned workers, bool traced) {
+  ThreadPool pool(workers);
+  StreamDigestSink sink;
+  RouteRun run;
+  PrimitiveStats stats;
+  {
+    memtrace::TraceScope scope(traced ? &sink : nullptr);
+    memtrace::OArray<Slot> arr(input.size(), "fan_out");
+    for (size_t p = 0; p < input.size(); ++p) arr.Write(p, input[p]);
+    if (forward) {
+      RouteForward(arr, &stats, &pool);
+    } else {
+      RouteToFront(arr, &stats, &pool);
+    }
+    run.slots.assign(arr.UntracedData(), arr.UntracedData() + arr.size());
+  }
+  run.route_ops = stats.route_ops;
+  if (traced) {
+    run.trace_digest = sink.digest();
+    run.trace_events = sink.events();
+  }
+  return run;
+}
+
+bool SameSlots(const std::vector<Slot>& a, const std::vector<Slot>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](const Slot& x,
+                                                      const Slot& y) {
+           return x.value == y.value && x.dest == y.dest;
+         });
+}
+
+class RouteFanOutTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RouteFanOutTest, FourWorkersMatchOneWorker) {
+  const size_t n = GetParam();
+  for (const bool forward : {true, false}) {
+    for (const Fill fill : {Fill::kAllNull, Fill::kAllReal, Fill::kRandom}) {
+      const std::vector<Slot> input = MakeRouteInput(n, fill, forward);
+      const RouteRun seq = RunRoute(input, forward, 1, /*traced=*/false);
+      const RouteRun par = RunRoute(input, forward, 4, /*traced=*/false);
+      const char* dir = forward ? "forward" : "to_front";
+      EXPECT_TRUE(SameSlots(seq.slots, par.slots))
+          << dir << " n=" << n << " fill=" << static_cast<int>(fill);
+      EXPECT_EQ(seq.route_ops, par.route_ops) << dir << " n=" << n;
+
+      const RouteRun seq_traced = RunRoute(input, forward, 1, /*traced=*/true);
+      const RouteRun par_traced = RunRoute(input, forward, 4, /*traced=*/true);
+      EXPECT_EQ(seq_traced.trace_digest, par_traced.trace_digest)
+          << dir << " n=" << n << " fill=" << static_cast<int>(fill);
+      EXPECT_EQ(seq_traced.trace_events, par_traced.trace_events) << dir;
+      EXPECT_EQ(par_traced.trace_events, n + 4 * par_traced.route_ops)
+          << dir;  // the n setup writes, then R R W W per route step
+      EXPECT_TRUE(SameSlots(seq.slots, par_traced.slots)) << dir;
+      EXPECT_EQ(seq.route_ops, par_traced.route_ops) << dir;
+    }
+  }
+}
+
+// The fan-out floor, a ragged size, and the largest power-of-two case plus
+// a ragged tail above it.
+INSTANTIATE_TEST_SUITE_P(Sizes, RouteFanOutTest,
+                         ::testing::Values(size_t{1} << 14,
+                                           (size_t{1} << 15) + 1001,
+                                           (size_t{1} << 16) + 37));
+
+// Sanity of the fan-out inputs themselves: the fanned-out forward route
+// lands every element at its destination and the compaction gathers them.
+TEST(RouteFanOutTest, FanOutRoutesToDestinations) {
+  const size_t n = (size_t{1} << 14) + 5;
+  const std::vector<Slot> input = MakeRouteInput(n, Fill::kRandom, true);
+  const RouteRun forward = RunRoute(input, true, 4, /*traced=*/false);
+  size_t count = 0;
+  for (size_t p = 0; p < n; ++p) {
+    if (forward.slots[p].dest == 0) continue;
+    ASSERT_EQ(forward.slots[p].dest, p + 1);
+    ASSERT_EQ(forward.slots[p].value, 1000 + count);
+    ++count;
+  }
+  const RouteRun compacted =
+      RunRoute(MakeRouteInput(n, Fill::kRandom, false), false, 4, false);
+  for (size_t r = 0; r < count; ++r) {
+    ASSERT_EQ(compacted.slots[r].value, 1000 + r);
+  }
+  for (size_t p = count; p < n; ++p) ASSERT_EQ(compacted.slots[p].dest, 0u);
 }
 
 }  // namespace

@@ -165,18 +165,14 @@ TEST(SortKernelTest, SubrangeSortLeavesRestUntouched) {
 }
 
 TEST(SortKernelTest, PolicyDispatcherRunsEveryPolicy) {
-  // ItemLexLess carries no SortKey projection, so the tag tiers fall back
-  // to their projection-free counterparts here (the real tag paths are
-  // covered by tests/tag_sort_test.cc); every policy must sort and count
-  // identically.  `chosen` reports the tier that actually executed: at
-  // n = 333 every fallback chain bottoms out in the blocked kernel (no
-  // projection, and n sits below the parallel task cutoff of 2^12).
+  // ItemLexLess carries no SortKey projection, so the tag tier falls back
+  // to the blocked network here (the real tag paths are covered by
+  // tests/tag_sort_test.cc); every policy must sort and count identically.
+  // `chosen` reports the tier that actually executed.
   const std::pair<SortPolicy, SortPolicy> policy_and_executed[] = {
       {SortPolicy::kReference, SortPolicy::kReference},
       {SortPolicy::kBlocked, SortPolicy::kBlocked},
-      {SortPolicy::kParallel, SortPolicy::kBlocked},
       {SortPolicy::kTagSort, SortPolicy::kBlocked},
-      {SortPolicy::kParallelTag, SortPolicy::kBlocked},
   };
   for (const auto& [policy, executed] : policy_and_executed) {
     memtrace::OArray<Item> arr(333, "disp");
@@ -203,22 +199,54 @@ TEST(SortKernelTest, PolicyDispatcherRunsEveryPolicy) {
   }
 }
 
+// The kBlocked tier fans out over the sort's pool above the task cutoff
+// (2^12) and runs the sequential kernel on a one-worker pool or when
+// traced; the pool size must change neither the tier reported, the element
+// order, the comparison count, nor the traced event stream.
+TEST(SortKernelTest, BlockedTierIdenticalOnEveryPoolSize) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const size_t n : {size_t{4096}, size_t{5000}}) {
+    auto run = [&](ThreadPool& pool, memtrace::TraceSink* sink) {
+      memtrace::TraceScope scope(sink);
+      memtrace::OArray<Item> arr(n, "pool");
+      FillRandom(arr, n + 3);
+      uint64_t comparisons = 0;
+      SortPolicy chosen = SortPolicy::kAuto;
+      Sort(arr, ItemLexLess{}, SortPolicy::kBlocked, &comparisons, &pool,
+           &chosen);
+      EXPECT_EQ(chosen, SortPolicy::kBlocked);
+      EXPECT_EQ(comparisons, BitonicComparisonCount(n));
+      return Contents(arr);
+    };
+    const auto sequential = run(one, nullptr);
+    EXPECT_TRUE(std::is_sorted(sequential.begin(), sequential.end()));
+    EXPECT_EQ(sequential, run(four, nullptr)) << n;
+    memtrace::VectorTraceSink seq_trace;
+    memtrace::VectorTraceSink par_trace;
+    EXPECT_EQ(sequential, run(one, &seq_trace)) << n;
+    EXPECT_EQ(sequential, run(four, &par_trace)) << n;
+    EXPECT_TRUE(seq_trace.SameTraceAs(par_trace)) << n;
+  }
+}
+
 TEST(SortKernelTest, AutoResolutionFollowsTheMeasuredCrossovers) {
   constexpr size_t kEntryBytes = 72;  // the pipeline element
   constexpr size_t kEntryTagBytes = 24;
-  // Narrow elements: the tag array is as wide as the data; never a tag
-  // tier.  Single worker: never a parallel tier.
+  // Narrow elements: the tag array is as wide as the data; never the tag
+  // tier, whatever the pool size.
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, 16, 24, 1 << 20, 1),
             SortPolicy::kBlocked);
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, 16, 24, 1 << 20, 8),
-            SortPolicy::kParallel);
-  // Wide elements beyond the measured ~2^13-2^14 crossover: tag tiers.
+            SortPolicy::kBlocked);
+  // Wide elements beyond the measured ~2^13-2^14 crossover: the tag tier,
+  // on one worker and fanned out alike.
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
                               1 << 18, 1),
             SortPolicy::kTagSort);
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
                               1 << 18, 8),
-            SortPolicy::kParallelTag);
+            SortPolicy::kTagSort);
   // Small ranges never leave the blocked kernel (fixed costs dominate).
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
                               256, 8),

@@ -166,27 +166,35 @@ memtrace::OArray<Entry> MakeEntries(size_t n, uint64_t seed) {
 
 constexpr SortPolicy kAllPolicies[] = {SortPolicy::kReference,
                                        SortPolicy::kBlocked,
-                                       SortPolicy::kParallel,
                                        SortPolicy::kTagSort,
-                                       SortPolicy::kParallelTag,
                                        SortPolicy::kAuto};
 
+// Every policy on a one-worker and on a four-worker pool: the same
+// permutation and comparison count as the reference network.
 template <typename Less>
 void ExpectAllPoliciesAgree(size_t n, const char* name) {
+  bool have_reference = false;
   std::vector<EntryWords> reference;
   uint64_t reference_comparisons = 0;
-  for (const SortPolicy policy : kAllPolicies) {
-    memtrace::OArray<Entry> arr = MakeEntries(n, n * 1299709 + 17);
-    uint64_t comparisons = 0;
-    Sort(arr, Less{}, policy, &comparisons);
-    if (policy == SortPolicy::kReference) {
-      reference = Contents(arr);
-      reference_comparisons = comparisons;
-      EXPECT_EQ(comparisons, BitonicComparisonCount(n));
-    } else {
-      ASSERT_EQ(Contents(arr), reference)
-          << name << " policy " << static_cast<int>(policy) << " n " << n;
-      EXPECT_EQ(comparisons, reference_comparisons) << name;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    for (const SortPolicy policy : kAllPolicies) {
+      memtrace::OArray<Entry> arr = MakeEntries(n, n * 1299709 + 17);
+      uint64_t comparisons = 0;
+      Sort(arr, Less{}, policy, &comparisons, pool);
+      if (!have_reference) {
+        ASSERT_EQ(policy, SortPolicy::kReference);
+        have_reference = true;
+        reference = Contents(arr);
+        reference_comparisons = comparisons;
+        EXPECT_EQ(comparisons, BitonicComparisonCount(n));
+      } else {
+        ASSERT_EQ(Contents(arr), reference)
+            << name << " policy " << static_cast<int>(policy) << " n " << n
+            << " workers " << pool->worker_count();
+        EXPECT_EQ(comparisons, reference_comparisons) << name;
+      }
     }
   }
 }
@@ -236,30 +244,31 @@ TEST(TagSortTest, TraceDependsOnlyOnLength) {
   }
 }
 
-// --- Parallel tag sort -------------------------------------------------------
+// --- Tag sort fanned out over the pool --------------------------------------
 
-// The pool-parallel tag sort replays the tag network's per-task buffers and
-// each Beneš column's events in deterministic sequential order, so its
-// traced event stream must be *byte-identical* to the sequential tag
-// sort's — not merely input-independent.  Sizes straddle both parallel
-// cutoffs (tag network: 2^12 elements; Beneš columns: 2^14 network slots).
+// SortRange keeps traced sorts sequential, but the fanned-out tag kernel
+// still replays the tag network's per-task buffers and each Beneš column's
+// events in deterministic sequential order, so its traced event stream must
+// be *byte-identical* to the sequential kernel's — not merely
+// input-independent.  Sizes straddle both fan-out cutoffs (tag network:
+// 2^12 elements; Beneš columns: 2^14 network slots).
 class ParallelTagTraceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ParallelTagTraceTest, TraceByteIdenticalToSequentialTagSort) {
   const size_t n = GetParam();
   ThreadPool pool(4);
-  auto trace_of = [&](SortPolicy policy) {
+  auto trace_of = [&](bool parallel) {
     memtrace::VectorTraceSink sink;
     memtrace::TraceScope scope(&sink);
     memtrace::OArray<Entry> arr = MakeEntries(n, n * 7 + 1);
     uint64_t comparisons = 0;
-    SortRange(arr, 0, n, core::ByJoinKeyThenTidLess{}, policy, &comparisons,
-              &pool);
+    BitonicSortRangeTagged(arr, 0, n, core::ByJoinKeyThenTidLess{},
+                           &comparisons, kSortBlockBytes, &pool, parallel);
     EXPECT_EQ(comparisons, BitonicComparisonCount(n));
     return sink;
   };
-  const auto sequential = trace_of(SortPolicy::kTagSort);
-  const auto parallel = trace_of(SortPolicy::kParallelTag);
+  const auto sequential = trace_of(false);
+  const auto parallel = trace_of(true);
   EXPECT_TRUE(sequential.SameTraceAs(parallel)) << "n=" << n;
 }
 
@@ -272,8 +281,9 @@ TEST(ParallelTagTest, TraceDependsOnlyOnLength) {
     memtrace::HashTraceSink sink;
     memtrace::TraceScope scope(&sink);
     memtrace::OArray<Entry> arr = MakeEntries(n, seed);
-    SortRange(arr, 0, n, core::ByTidThenJoinKeyThenDataLess{},
-              SortPolicy::kParallelTag, nullptr, &pool);
+    BitonicSortRangeTagged(arr, 0, n, core::ByTidThenJoinKeyThenDataLess{},
+                           nullptr, kSortBlockBytes, &pool,
+                           /*parallel=*/true);
     return sink.HexDigest();
   };
   // 5000 crosses the tag network's parallel cutoff, so the fanned-out tag
@@ -284,20 +294,20 @@ TEST(ParallelTagTest, TraceDependsOnlyOnLength) {
   }
 }
 
-// kAuto on the 72-byte Entry with a multi-worker pool resolves to the
-// parallel tag tier beyond the crossover — and the sorted output still
-// matches the reference network exactly.  (8 workers: at 4 the model puts
-// kParallel and kParallelTag within a nanosecond of each other at this n —
-// the wide network's bandwidth cap and the planner's Amdahl tail nearly
-// cancel — so the test sits clear of that boundary.)
-TEST(ParallelTagTest, AutoPicksParallelTagForWideElementsAndAgrees) {
+// kAuto on the 72-byte Entry with a multi-worker pool resolves to the tag
+// tier beyond the crossover — and the sorted output still matches the
+// reference network exactly.  (8 workers: at 4 the model puts the two
+// fanned-out tiers within a nanosecond of each other at this n — the wide
+// network's bandwidth cap and the planner's Amdahl tail nearly cancel — so
+// the test sits clear of that boundary.)
+TEST(ParallelTagTest, AutoPicksTagSortForWideElementsAndAgrees) {
   const size_t n = 20000;
   ThreadPool pool(8);
   memtrace::OArray<Entry> arr = MakeEntries(n, 99);
   SortPolicy chosen = SortPolicy::kAuto;
   SortRange(arr, 0, n, core::ByJoinKeyThenTidLess{}, SortPolicy::kAuto,
             nullptr, &pool, &chosen);
-  EXPECT_EQ(chosen, SortPolicy::kParallelTag);
+  EXPECT_EQ(chosen, SortPolicy::kTagSort);
 
   memtrace::OArray<Entry> ref = MakeEntries(n, 99);
   SortRange(ref, 0, n, core::ByJoinKeyThenTidLess{}, SortPolicy::kBlocked);
@@ -344,7 +354,7 @@ TEST(TagSortTest, RelationalOperatorsAgreeAcrossPolicies) {
   const Table anti_ref = core::ObliviousAntiJoin(tc.t1, tc.t2);
   const auto agg_ref = core::ObliviousJoinAggregate(tc.t1, tc.t2);
   for (const SortPolicy policy :
-       {SortPolicy::kParallel, SortPolicy::kTagSort}) {
+       {SortPolicy::kReference, SortPolicy::kTagSort}) {
     EXPECT_EQ(core::ObliviousDistinct(tc.t1, policy).rows(),
               distinct_ref.rows());
     EXPECT_EQ(core::ObliviousSemiJoin(tc.t1, tc.t2, policy).rows(),
